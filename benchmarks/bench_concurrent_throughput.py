@@ -9,12 +9,7 @@ worker pool overlaps; with it at zero the bench reduces to pure
 lock-contention measurement.
 """
 
-import os
-
-from repro.bench.concurrency_experiments import (
-    concurrent_throughput_experiment,
-    worker_scaling_experiment,
-)
+from repro.bench.concurrency_experiments import concurrent_throughput_experiment
 from repro.bench.reporting import format_table
 
 
@@ -38,36 +33,6 @@ def test_throughput_scales_with_worker_threads(run_experiment):
     # required scaling is >= 2x over a single worker.
     assert speedups[4] >= 2.0, speedups
     assert speedups[2] >= 1.3, speedups
-
-
-def test_process_worker_scaling(run_experiment):
-    """Smoke gate for the GIL-escape path: processes vs threads, io_wait=0.
-
-    The full acceptance run (``benchmarks/bench_worker_scaling.py`` CLI)
-    measures the 1..2*cores sweep; this CI smoke keeps the sweep small and
-    only enforces the >= 1.0x floor where parallelism exists to pay for the
-    IPC overhead — on single-core runners the ratio is recorded, not gated.
-    """
-    result = run_experiment(
-        worker_scaling_experiment,
-        worker_counts=(1, 2),
-        clients=4,
-        queries_per_client=15,
-    )
-    print(format_table(result["scaling_rows"], title="Throughput: threads vs processes"))
-    ratios = result["ratio_by_workers"]
-    print(
-        f"processes/threads ratio (cores={result['cores']}): "
-        + ", ".join(f"{w} workers = {r:.2f}x" for w, r in sorted(ratios.items()))
-    )
-    for row in result["scaling_rows"]:
-        assert row["hit_rate"] >= 0.9, row
-        assert row["queries_per_second"] > 0.0, row
-        if row["mode"] == "processes":
-            # The process rows must actually exercise worker children.
-            assert row["offloaded"] > 0, row
-    if (os.cpu_count() or 1) >= 2:
-        assert max(ratios.values()) >= 1.0, ratios
 
 
 def test_throughput_across_shard_counts(run_experiment):

@@ -46,15 +46,8 @@ RAISE_CONTRACTS: dict[str, frozenset[str]] = {
         {"WorkerCrashed", "TransientScanError", "DeadlineExceeded"}
     ),
     # -- retry envelope: TransientScanError stops here or is typed ----------
-    # WorkerCrashed joins the set with process-pool execution: a worker
-    # process dying mid-offload surfaces as the typed crash error (budget
-    # conserved; the server fails the affected futures, never strands them).
-    "QueryEngine.execute": frozenset(
-        {"TransientScanError", "DeadlineExceeded", "WorkerCrashed"}
-    ),
-    "QueryEngine.execute_group": frozenset(
-        {"TransientScanError", "DeadlineExceeded", "WorkerCrashed"}
-    ),
+    "QueryEngine.execute": frozenset({"TransientScanError", "DeadlineExceeded"}),
+    "QueryEngine.execute_group": frozenset({"TransientScanError", "DeadlineExceeded"}),
     # -- executor: quarantine consumes corruption before the plan returns ---
     "execute_plan": frozenset({"TransientScanError", "DeadlineExceeded"}),
     "execute_plan_columnar": frozenset({"TransientScanError", "DeadlineExceeded"}),

@@ -24,8 +24,6 @@ def _lock_classes() -> list[type]:
     from repro.core.cache_manager import ReCache
     from repro.core.circuit_breaker import SourceCircuitBreaker
     from repro.core.sharded_cache import AtomicCounter, SharedBudget, ShardedReCache
-    from repro.core.shm_registry import ShmRegistry
-    from repro.engine.procpool import ProcessExecutionPool
     from repro.engine.server import EngineServer
     from repro.faults.plan import _InjectorState
 
@@ -37,8 +35,6 @@ def _lock_classes() -> list[type]:
         SharedBudget,
         SourceCircuitBreaker,
         _InjectorState,
-        ShmRegistry,
-        ProcessExecutionPool,
     ]
 
 

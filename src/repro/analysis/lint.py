@@ -1,12 +1,11 @@
 """recheck-lint CLI: ``python -m repro.analysis.lint src [--json report.json]``.
 
-Parses every ``.py`` file under the given paths and runs the eight rule
+Parses every ``.py`` file under the given paths and runs the seven rule
 families (guarded-by, lock-order + heavy-work, future-resolution,
-dtype-view, no-swallow, raise-flow + reservation-leak, hotpath,
-shm-lifecycle).  Exits 1 when any violation is found; ``--json`` also
-writes a machine-readable report (archived as a CI artifact) carrying the
-inferred per-function exception sets, the call-graph warnings and the
-analyzer wall time.
+dtype-view, no-swallow, raise-flow + reservation-leak, hotpath).  Exits 1
+when any violation is found; ``--json`` also writes a machine-readable
+report (archived as a CI artifact) carrying the inferred per-function
+exception sets, the call-graph warnings and the analyzer wall time.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from repro.analysis import (
     lock_order,
     no_swallow,
     raises,
-    shm_lifecycle,
 )
 from repro.analysis.callgraph import build_call_graph
 from repro.analysis.common import Module, Violation, collect_classes, iter_py_files
@@ -39,7 +37,6 @@ CHECKERS = {
     "no-swallow": no_swallow.check,
     "raise-flow": raises.check,
     "hotpath": hotpath.check,
-    "shm-lifecycle": shm_lifecycle.check,
 }
 
 

@@ -27,12 +27,6 @@ LOCK_RANKS: dict[tuple[str, str], int] = {
     # under them, and they are never held while taking a cache lock.
     ("SourceCircuitBreaker", "_lock"): 30,
     ("_InjectorState", "_lock"): 30,
-    # Leaf locks of the process-pool execution layer: the shm registry's
-    # lock may be taken under a shard's ReCache._lock (eviction retires the
-    # entry's segment in the same critical section), so it must outrank 20;
-    # neither lock ever wraps a cache or serving lock.
-    ("ShmRegistry", "_lock"): 30,
-    ("ProcessExecutionPool", "_lock"): 30,
 }
 
 #: Lock attribute names whose rank is recoverable even when acquired on a

@@ -17,7 +17,6 @@ cache-scan work in NumPy adds genuine CPU parallelism on top.  With
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
 
@@ -70,21 +69,12 @@ def _query_pool(pool_size: int, rows: int) -> list[Query]:
     ]
 
 
-def _build_engine(
-    shard_count: int,
-    rows: int,
-    seed: int,
-    pool: list[Query],
-    execution_mode: str = "threads",
-    process_workers: int | None = None,
-) -> QueryEngine:
+def _build_engine(shard_count: int, rows: int, seed: int, pool: list[Query]) -> QueryEngine:
     """A fresh engine with every pool query pre-warmed into the cache."""
     config = ReCacheConfig(
         shard_count=shard_count,
         admission_sample_records=50,
         adaptive_admission=False,  # warm everything eagerly: hit-heavy serving
-        execution_mode=execution_mode,
-        process_workers=process_workers,
     )
     engine = QueryEngine(config)
     engine.register_csv("serve", _serving_dataset(rows, seed), SERVE_SCHEMA)
@@ -125,7 +115,6 @@ def _measure(
         "wall_time": result.wall_time,
         "queries_per_second": result.queries_per_second,
         "hit_rate": hits / max(1, hits + aggregate.misses),
-        "offloaded": aggregate.offloaded,
     }
 
 
@@ -183,70 +172,6 @@ def concurrent_throughput_experiment(
         "shard_rows": shard_rows,
         "speedup_vs_single_thread": {t: qps / base for t, qps in by_threads.items()},
         "io_wait_ms": io_wait_ms,
-    }
-
-
-def worker_scaling_experiment(
-    worker_counts: tuple[int, ...] | None = None,
-    clients: int = 8,
-    shard_count: int = 4,
-    rows: int = 2000,
-    pool_size: int = 16,
-    queries_per_client: int = 25,
-    zipf_s: float = 1.1,
-    seed: int = 17,
-) -> dict:
-    """Thread pool vs process pool on a pure cache-hit zipfian workload.
-
-    ``io_wait_ms`` is pinned to zero: with no delivery waits to overlap, the
-    thread pool's scaling is bounded by the GIL on the CPU-bound cache scans,
-    which is exactly what the worker-process pool escapes.  Worker counts
-    default to ``{1, 2, cores, 2*cores}``; each (mode, workers) cell gets a
-    freshly warmed engine, and process-mode rows record how many requests
-    actually executed inside a worker child (``offloaded``).  On single-core
-    hosts the processes/threads ratio carries IPC overhead with no
-    parallelism to pay for it — interpret ``ratio_by_workers`` alongside
-    ``cores``.
-    """
-    cores = os.cpu_count() or 1
-    if worker_counts is None:
-        worker_counts = tuple(sorted({1, 2, cores, 2 * cores}))
-    pool = _query_pool(pool_size, rows)
-    scaling_rows = []
-    for mode in ("threads", "processes"):
-        for workers in worker_counts:
-            engine = _build_engine(
-                shard_count,
-                rows,
-                seed,
-                pool,
-                execution_mode=mode,
-                process_workers=workers if mode == "processes" else None,
-            )
-            # Second warm pass: finishes any deferred materialization and, in
-            # process mode, spawns the pool + publishes the shm exports so the
-            # measured window contains no cold-start cost.
-            for query in pool:
-                engine.execute(query)
-            try:
-                measured = _measure(
-                    engine, pool, workers, clients, queries_per_client, 0.0, zipf_s, seed
-                )
-            finally:
-                engine.close_workers()
-            scaling_rows.append({"mode": mode, "workers": workers, **measured})
-
-    qps = {(row["mode"], row["workers"]): row["queries_per_second"] for row in scaling_rows}
-    ratio_by_workers = {
-        workers: qps[("processes", workers)] / (qps[("threads", workers)] or 1e-9)
-        for workers in worker_counts
-    }
-    return {
-        "scaling_rows": scaling_rows,
-        "ratio_by_workers": ratio_by_workers,
-        "worker_counts": list(worker_counts),
-        "cores": cores,
-        "io_wait_ms": 0.0,
     }
 
 

@@ -159,10 +159,6 @@ class ReCache:
         #: incrementally maintained byte occupancy (sum of entry.nbytes)
         self._occupancy = 0
         self._shared_budget = shared_budget
-        #: shared-memory export registry (process-pool execution); attached
-        #: post-construction so eviction retires published segments in the
-        #: same critical section that drops the entry
-        self._shm_registry = None
         #: (sequence, nbytes) of recent capacity evictions, pruned to the
         #: configured shed_pressure_window; feeds eviction-pressure shedding
         self._recent_evictions: list[tuple[int, int]] = []
@@ -507,12 +503,6 @@ class ReCache:
             self.stats.evictions += 1
             self.stats.evicted_bytes += entry.nbytes
             self._recent_evictions.append((self._sequence, entry.nbytes))
-            if self._shm_registry is not None:
-                # Retire inside the same critical section that drops the
-                # entry: a process worker can then never attach a live
-                # segment name whose entry is already gone (generation
-                # stamping makes the stale name a typed attach failure).
-                self._shm_registry.retire(entry)
 
     def quarantine(self, entry: CacheEntry) -> bool:
         """Invalidate a poisoned entry whose layout scan raised mid-query.
@@ -571,20 +561,6 @@ class ReCache:
     def benefit_of(self, entry: CacheEntry) -> float:
         """The current benefit metric of a cached entry (for reporting)."""
         return benefit_metric(entry)
-
-    def attach_shm_registry(self, registry) -> None:
-        """Wire the shared-memory export registry into eviction."""
-        self._shm_registry = registry
-
-    def is_resident(self, entry: CacheEntry) -> bool:
-        """Whether this exact entry object is still cached (public probe).
-
-        The process-pool offload path re-checks residency *after* exporting
-        an entry to shared memory: an eviction racing the export has already
-        retired the segment, so serving from it would be a stale read.
-        """
-        with self._lock:
-            return self._is_resident(entry)
 
     # ------------------------------------------------------------------
     # Internals (all called with the lock held)

@@ -9,26 +9,11 @@ Figure 14, and the ablation benches).
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass, field
 
 
 #: query-output representations accepted by the ``result_format`` knobs
 RESULT_FORMATS = ("rows", "columnar")
-
-#: execution strategies accepted by the ``execution_mode`` knobs
-EXECUTION_MODES = ("threads", "processes")
-
-
-def validate_execution_mode(value: "str | None", allow_none: bool = False) -> None:
-    """Shared membership check for every ``execution_mode`` entry point."""
-    if value is None and allow_none:
-        return
-    if value not in EXECUTION_MODES:
-        expected = " or ".join(repr(mode) for mode in EXECUTION_MODES)
-        if allow_none:
-            expected = f"None, {expected}"
-        raise ValueError(f"execution_mode must be {expected}, got {value!r}")
 
 
 def validate_result_format(value: "str | None", allow_none: bool = False) -> None:
@@ -152,22 +137,6 @@ class ReCacheConfig:
     #: thread pool (the concurrent serving layer's degree of parallelism).
     max_workers: int = 4
 
-    #: how cache-hit scans are executed: ``"threads"`` (the default) runs
-    #: everything in-process; ``"processes"`` offloads eligible flat
-    #: columnar cache hits to a spawn-mode worker-process pool mapping the
-    #: columns from shared memory (escaping the GIL), with automatic
-    #: fallback to the in-process path for everything else.  Overridable per
-    #: query via ``Query.execution_mode`` or ``QueryEngine.execute(...,
-    #: execution_mode=...)``.  Defaults from the ``RECACHE_EXECUTION_MODE``
-    #: environment variable so CI can re-run whole suites under the pool.
-    execution_mode: str = field(
-        default_factory=lambda: os.environ.get("RECACHE_EXECUTION_MODE", "threads")
-    )
-
-    #: worker processes of the process-pool execution path; ``None`` (the
-    #: default) follows ``max_workers``.
-    process_workers: int | None = None
-
     #: backpressure bound of the server's submission queue: a ``submit`` /
     #: ``submit_batch`` call blocks while this many queries are already
     #: pending (queued or executing).  A batch is admitted atomically once
@@ -246,9 +215,6 @@ class ReCacheConfig:
             raise ValueError("shard_count must be >= 1")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        validate_execution_mode(self.execution_mode)
-        if self.process_workers is not None and self.process_workers < 1:
-            raise ValueError("process_workers must be >= 1 or None")
         if self.max_pending_queries < 1:
             raise ValueError("max_pending_queries must be >= 1")
         if self.default_deadline is not None and self.default_deadline <= 0:

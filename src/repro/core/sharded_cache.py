@@ -467,15 +467,6 @@ class ShardedReCache:
     def evict_entry(self, entry: CacheEntry) -> None:
         self.shard_for(entry.key).evict_entry(entry)
 
-    def attach_shm_registry(self, registry) -> None:
-        """Wire the shared-memory export registry into every shard's eviction."""
-        for shard in self.shards:
-            shard.attach_shm_registry(registry)
-
-    def is_resident(self, entry: CacheEntry) -> bool:
-        """Whether this exact entry is still cached on its home shard."""
-        return self.shard_for(entry.key).is_resident(entry)
-
     def quarantine(self, entry: CacheEntry) -> bool:
         """Invalidate a poisoned entry on its home shard (see ReCache.quarantine)."""
         return self.shard_for(entry.key).quarantine(entry)

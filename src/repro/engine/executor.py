@@ -38,7 +38,7 @@ from repro.core.admission import AdmissionDecision, AdmissionSample
 from repro.core.cache_entry import LayoutObservation
 from repro.core.cache_manager import ReCache
 from repro.core.config import ReCacheConfig
-from repro.core.errors import CorruptedCacheError, DeadlineExceeded, WorkerCrashed
+from repro.core.errors import DeadlineExceeded
 from repro.core.sharded_cache import ShardedReCache
 from repro.engine.algebra import (
     AggregateNode,
@@ -66,9 +66,7 @@ from repro.engine.operators import (
     project_batches,
     project_rows,
 )
-from repro.engine.procpool import ScanTask
 from repro.engine.types import ColumnarResult, flatten_record
-from repro.faults import runtime as faults
 from repro.formats.datafile import DataSource, DataSourceCatalog
 from repro.layouts import build_layout
 from repro.utils.timing import SampledTimer
@@ -95,9 +93,7 @@ class QueryReport:
     lazy_upgrades: int = 0
     admissions: dict = field(default_factory=lambda: {"eager": 0, "lazy": 0})
     #: time spent between submission to the serving tier and execution start
-    #: (backpressure blocking plus queue residency); 0 outside a server.
-    #: Always computed from coordinator-side clocks — worker processes
-    #: report durations only, never timestamps.
+    #: (backpressure blocking plus queue residency); 0 outside a server
     queue_wait_time: float = 0.0
     #: the server's pending-query depth observed when this query was enqueued
     queue_depth: int = 0
@@ -109,9 +105,6 @@ class QueryReport:
     #: duplicates of one execution cannot report N full queue waits (the
     #: accounting bug that made batched-bench wait dwarf wall time).
     coalesced_wait_time: float = 0.0
-    #: 1 when the cache-hit scan ran on the worker-process pool
-    #: (``execution_mode="processes"``) instead of in-process
-    offloaded: int = 0
     #: transparent re-executions after a transient scan fault (the report of
     #: the attempt that finally succeeded carries the count)
     retries: int = 0
@@ -156,7 +149,6 @@ class QueryReport:
             "queue_depth": self.queue_depth,
             "coalesced": self.coalesced,
             "coalesced_wait_time": self.coalesced_wait_time,
-            "offloaded": self.offloaded,
             "retries": self.retries,
             "degraded_scans": self.degraded_scans,
             "quarantined_entries": self.quarantined_entries,
@@ -505,114 +497,6 @@ def _vectorizable_ranges(predicate, layout, wanted_fields) -> dict[str, tuple[fl
     if not layout.supports_range_filter(sorted(involved)):
         return None
     return {field: (interval.low, interval.high) for field, interval in intervals.items()}
-
-
-# ---------------------------------------------------------------------------
-# Process-pool offload (execution_mode="processes")
-# ---------------------------------------------------------------------------
-def try_offload_cache_scan(plan: PlanNode, ctx: ExecutionContext, pool, registry):
-    """Serve an eligible cache-hit plan on the worker-process pool.
-
-    Returns the result rows, or ``None`` when the plan is not offloadable —
-    the caller then falls through to the ordinary in-process path, so the
-    process pool is a pure fast path, never a correctness dependency.
-    Eligible shapes are exactly ``CacheScanNode`` and
-    ``AggregateNode(CacheScanNode)`` over an eager flat columnar entry whose
-    residual predicate vectorizes to closed ranges: the worker then runs the
-    same ``range_filtered_batch`` → ``aggregate_batches``/
-    ``rows_from_batches`` pipeline the thread path runs, against columns
-    mapped from shared memory.
-
-    A :class:`WorkerCrashed` propagates (typed containment, same contract as
-    the thread path's injected crashes); a corruption raised inside the
-    worker quarantines the entry here — in the coordinator, where the cache
-    locks live — and degrades to the in-process fallback.
-    """
-    recache = ctx.recache
-    if recache is None or not ctx.config.vectorized_execution:
-        return None
-    if ctx.deadline_at is not None:
-        # Deadline checks fire inside scan loops; a shipped task cannot be
-        # interrupted mid-flight, so deadline queries stay in-process.
-        return None
-    if isinstance(plan, AggregateNode) and isinstance(plan.child, CacheScanNode):
-        node = plan.child
-        aggregates = tuple(plan.aggregates)
-        group_by = tuple(plan.group_by)
-    elif isinstance(plan, CacheScanNode):
-        node = plan
-        aggregates = ()
-        group_by = ()
-    else:
-        return None
-    entry = node.entry
-    layout = entry.layout
-    if entry.lazy_offsets is not None or layout is None:
-        return None
-    if layout.schema is not None and layout.schema.nested_paths():
-        # Nested sources need record-level dedupe semantics the worker does
-        # not implement (exports are flat-only anyway; this gate is cheaper
-        # than attempting one).
-        return None
-    ranges = _vectorizable_ranges(node.residual_predicate, layout, node.fields)
-    if ranges is None:
-        return None
-    try:
-        export = registry.export_for(entry)
-    except OSError:  # recheck-lint: allow(no-swallow) — export is opportunistic
-        # /dev/shm exhaustion (or any segment-creation failure) must degrade
-        # to the in-process path, not fail the query.
-        return None
-    if export is None or not set(node.fields) <= set(export.fields):
-        return None
-    if not recache.is_resident(entry):
-        # Eviction raced the export: its segment is already retired, and
-        # serving from it would read a dead generation.  Fall back.
-        registry.retire(entry)
-        return None
-    plan_specs: tuple[str, ...] = ()
-    fault_seed = 0
-    active = faults.active_plan()
-    if active is not None:
-        plan_specs = tuple(spec.as_string() for spec in active.specs)
-        fault_seed = active.seed
-    task = ScanTask(
-        export=export,
-        ranges=tuple((name, low, high) for name, (low, high) in sorted(ranges.items())),
-        fields=tuple(node.fields),
-        aggregates=aggregates,
-        group_by=group_by,
-        fault_specs=plan_specs,
-        fault_seed=fault_seed,
-    )
-    try:
-        result = pool.execute(task)
-    except WorkerCrashed:
-        raise
-    except CorruptedCacheError:
-        _quarantine_entry(node, ctx)
-        return None
-    except Exception:  # recheck-lint: allow(no-swallow) — offload is opportunistic: any non-typed failure (stale segment name, pipe hiccup) falls back to the audited in-process path, which re-raises real faults itself
-        return None
-    report = ctx.report
-    report.lookup_time += node.lookup_time
-    if node.exact:
-        report.exact_hits += 1
-    else:
-        report.subsumption_hits += 1
-    report.cache_scan_time += result.scan_seconds
-    report.operator_time += result.operator_seconds
-    report.offloaded = 1
-    _record_cache_scan_reuse(
-        node,
-        ctx,
-        layout.layout_name,
-        result.scan_seconds,
-        result.scanned_rows,
-        node.fields,
-        accessed_nested=False,
-    )
-    return result.rows
 
 
 def _execute_lazy_cache_scan(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import validate_execution_mode, validate_result_format
+from repro.core.config import validate_result_format
 from repro.engine.expressions import AggregateSpec, Expression
 
 
@@ -61,17 +61,9 @@ class Query:
     #: the deadline shapes *when* a result must arrive, not *what* it is,
     #: so the serving tier still coalesces identical queries.
     deadline: float | None = None
-    #: per-query execution strategy override: ``"threads"``, ``"processes"``,
-    #: or ``None`` to follow ``ReCacheConfig.execution_mode``.  Like the two
-    #: knobs above, deliberately NOT part of :meth:`signature`: the mode
-    #: decides *where* the scan runs, never what it returns (the process
-    #: path is parity-tested against the thread path), so coalescing across
-    #: modes stays safe.
-    execution_mode: str | None = None
 
     def __post_init__(self) -> None:
         validate_result_format(self.result_format, allow_none=True)
-        validate_execution_mode(self.execution_mode, allow_none=True)
         if self.deadline is not None and self.deadline <= 0:
             raise ValueError("deadline must be positive or None")
         if not self.tables:

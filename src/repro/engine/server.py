@@ -95,7 +95,6 @@ def merge_reports(reports: Iterable[QueryReport], label: str = "aggregate") -> Q
         merged.queue_wait_time += report.queue_wait_time
         merged.coalesced += report.coalesced
         merged.coalesced_wait_time += report.coalesced_wait_time
-        merged.offloaded += report.offloaded
         merged.retries += report.retries
         merged.degraded_scans += report.degraded_scans
         merged.quarantined_entries += report.quarantined_entries
@@ -607,9 +606,7 @@ class EngineServer:
         The duplicate's wait goes into ``coalesced_wait_time``, NOT
         ``queue_wait_time``: only the primary waited for an execution slot,
         and summing N full waits per single execution made merged queue wait
-        dwarf wall time in the batched submission bench.  Both instants come
-        from the coordinator's clock (worker processes never produce
-        timestamps), so the difference is meaningful.
+        dwarf wall time in the batched submission bench.
         """
         copy = QueryReport(label=report.label)
         copy.results = results
@@ -670,11 +667,6 @@ class EngineServer:
             # closed flag and raise instead of waiting forever.
             self._backpressure.notify_all()
         self._pool.shutdown(wait=wait)
-        # The engine's process-pool resources belong to this server's
-        # lifecycle too: terminate/join worker processes and unlink every
-        # live shm segment even on wait=False, so no shutdown path can
-        # leave /dev/shm residue or zombie children behind.
-        self.engine.close_workers(wait=wait)
 
     def __enter__(self) -> "EngineServer":
         return self

@@ -21,19 +21,16 @@ from typing import Callable, Sequence
 
 from repro.core.cache_manager import ReCache
 from repro.core.circuit_breaker import SourceCircuitBreaker
-from repro.core.config import ReCacheConfig, validate_execution_mode, validate_result_format
+from repro.core.config import ReCacheConfig, validate_result_format
 from repro.core.errors import DeadlineExceeded, TransientScanError
 from repro.core.sharded_cache import ShardedReCache
-from repro.core.shm_registry import ShmRegistry
 from repro.faults import runtime as faults
 from repro.engine.executor import (
     ExecutionContext,
     QueryReport,
     execute_plan,
     execute_plan_columnar,
-    try_offload_cache_scan,
 )
-from repro.engine.procpool import ProcessExecutionPool
 from repro.engine.optimizer import PlanInfo, build_plan
 from repro.engine.query import Query
 from repro.engine.types import RecordType
@@ -74,12 +71,6 @@ class QueryEngine:
             faults.install_spec(self.config.faults, seed=self.config.seed)
         self.query_count = 0
         self._count_lock = threading.Lock()
-        #: lazily created process-pool execution resources (see
-        #: :meth:`_process_resources`); guarded by ``_proc_lock`` so the
-        #: first concurrent offload builds exactly one pool + registry
-        self._proc_lock = threading.Lock()
-        self._procpool = None
-        self._shm_registry = None
 
     # ------------------------------------------------------------------
     # Data source registration
@@ -110,7 +101,6 @@ class QueryEngine:
         *,
         vectorized: bool | None = None,
         result_format: str | None = None,
-        execution_mode: str | None = None,
     ) -> QueryReport:
         """Execute a query and return its results plus execution report.
 
@@ -140,18 +130,13 @@ class QueryEngine:
         if result_format is None:
             result_format = query.result_format or config.result_format
         validate_result_format(result_format)
-        if execution_mode is None:
-            execution_mode = query.execution_mode or config.execution_mode
-        validate_execution_mode(execution_mode)
         deadline = query.deadline if query.deadline is not None else config.default_deadline
         deadline_at = time.perf_counter() + deadline if deadline is not None else None
         retry_limit = max(0, config.scan_retry_limit)
         attempt = 0
         while True:
             try:
-                report = self._execute_attempt(
-                    query, config, result_format, deadline_at, execution_mode
-                )
+                report = self._execute_attempt(query, config, result_format, deadline_at)
             except TransientScanError as exc:
                 for table in query.tables:
                     self.breaker.record_failure(table.source)
@@ -181,7 +166,6 @@ class QueryEngine:
         config: ReCacheConfig,
         result_format: str,
         deadline_at: float | None,
-        execution_mode: str = "threads",
     ) -> QueryReport:
         """One planning + execution pass of :meth:`execute` (no retry logic)."""
         report = QueryReport(label=query.label)
@@ -198,50 +182,15 @@ class QueryEngine:
             query_started=started,
             deadline_at=deadline_at,
         )
-        results = None
-        if execution_mode == "processes" and result_format == "rows":
-            pool, registry = self._process_resources()
-            results = try_offload_cache_scan(plan_info.plan, ctx, pool, registry)
-        if results is None:
-            # Thread path — also the fallback for every plan the pool cannot
-            # serve (misses, joins, nested data, columnar exits, deadlines).
-            if result_format == "columnar":
-                results = execute_plan_columnar(plan_info.plan, ctx)
-            else:
-                results = execute_plan(plan_info.plan, ctx)
+        if result_format == "columnar":
+            results = execute_plan_columnar(plan_info.plan, ctx)
+        else:
+            results = execute_plan(plan_info.plan, ctx)
 
         report.results = results
         report.rows_returned = len(results)
         report.total_time = time.perf_counter() - started
         return report
-
-    def _process_resources(self):
-        """The engine's process pool + shm registry, built on first use."""
-        with self._proc_lock:
-            if self._procpool is None:
-                registry = ShmRegistry()
-                self.recache.attach_shm_registry(registry)
-                workers = self.config.process_workers or self.config.max_workers
-                self._shm_registry = registry
-                self._procpool = ProcessExecutionPool(workers)
-            return self._procpool, self._shm_registry
-
-    def close_workers(self, wait: bool = True) -> None:
-        """Tear down process-pool execution resources (idempotent).
-
-        Joins (or, with ``wait=False``, terminates) every worker process and
-        unlinks every live shared-memory segment.  Safe on engines that
-        never offloaded; :meth:`~repro.engine.server.EngineServer.shutdown`
-        calls this so no server shutdown can strand segments or children.
-        """
-        with self._proc_lock:
-            pool, registry = self._procpool, self._shm_registry
-            self._procpool = None
-            self._shm_registry = None
-        if pool is not None:
-            pool.shutdown(wait=wait)
-        if registry is not None:
-            registry.close()
 
     def execute_group(
         self,

@@ -161,7 +161,6 @@ def _measurement(index: int, query: Query, report: QueryReport) -> dict:
         "queue_depth": report.queue_depth,
         "coalesced": report.coalesced,
         "coalesced_wait_time": report.coalesced_wait_time,
-        "offloaded": report.offloaded,
         "retries": report.retries,
         "degraded_scans": report.degraded_scans,
         "quarantined_entries": report.quarantined_entries,
@@ -209,7 +208,6 @@ class ConcurrentWorkloadResult:
             summary["coalesced"] = self.aggregate.coalesced
             summary["queue_wait_time"] = self.aggregate.queue_wait_time
             summary["coalesced_wait_time"] = self.aggregate.coalesced_wait_time
-            summary["offloaded"] = self.aggregate.offloaded
             # Deepest backlog observed *at enqueue time* — the true peak
             # (which includes each batch's own size) is the server's
             # ``peak_queue_depth``.

@@ -1,5 +1,7 @@
 """Tests for the ReCache cache manager (lookup, admission, eviction, switching)."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.cache_manager import ReCache
@@ -47,6 +49,14 @@ class TestConfigValidation:
         assert lru.eviction_policy == "lru" and not lru.layout_selection
         assert ReCacheConfig.baseline_parquet_greedy().default_nested_layout == "parquet"
         assert ReCacheConfig.unlimited().cache_size_limit is None
+
+    def test_defaults_do_not_read_the_environment(self, monkeypatch):
+        # A default that reads RECACHE_<FIELD> would let the shell change
+        # which program a benchmark or test measures.
+        expected = ReCacheConfig()
+        for field in dataclasses.fields(ReCacheConfig):
+            monkeypatch.setenv(f"RECACHE_{field.name.upper()}", "processes")
+        assert ReCacheConfig() == expected
 
 
 class TestLookupAndAdmission:

@@ -16,11 +16,10 @@ after every schedule).
 
 The default run executes ``RECACHE_CHAOS_SCHEDULES`` (220) schedules across
 five fault classes — raw-scan faults, cached-layout corruption, admission
-budget exhaustion, serving-worker crashes, real worker-*process* kills
-against the process pool (``execution_mode=processes``) — plus a mixed
-class combining them with deadlines.  When ``RECACHE_CHAOS_REPORT`` names a file, a JSON
-summary of schedules, fault mix and outcome counts is written there (the CI
-chaos-suite step archives it).
+budget exhaustion, serving-worker-thread crashes, and a mixed class
+combining them with deadlines.  When ``RECACHE_CHAOS_REPORT`` names a file,
+a JSON summary of schedules, fault mix and outcome counts is written there
+(the CI chaos-suite step archives it).
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ RESULT_TIMEOUT = 30.0
 _OUTCOMES: dict = {
     "schedules": 0,
     "ok": 0,
-    "offloaded": 0,
     "typed_errors": {},
     "fault_classes": {},
 }
@@ -106,10 +104,6 @@ FAULT_CLASSES = {
     "scan-layout": lambda rng: _scan_layout_spec(rng),
     "budget": lambda rng: _budget_spec(rng),
     "worker": lambda rng: _worker_spec(rng),
-    # Same spec family as "worker", but served with execution_mode=processes:
-    # the plan ships to the pool and the injector fires as a real os._exit in
-    # a worker child, not a simulated in-thread crash.
-    "proc-worker": lambda rng: _worker_spec(rng),
     "mixed": lambda rng: ";".join(
         rng.sample(
             [_scan_raw_spec(rng), _scan_layout_spec(rng), _budget_spec(rng), _worker_spec(rng)],
@@ -117,6 +111,13 @@ FAULT_CLASSES = {
         )
     ),
 }
+
+
+#: Per-class seed index.  Pinned rather than derived from the sorted class
+#: names so that adding or removing a class never reseeds the others: these
+#: are the positions the classes held in the six-class suite, so every
+#: schedule index that ran there replays exactly.
+CLASS_SEED_INDEX = {"budget": 0, "mixed": 1, "scan-layout": 3, "scan-raw": 4, "worker": 5}
 
 
 def _chaos_queries(rng: random.Random, with_deadlines: bool) -> list[Query]:
@@ -157,23 +158,15 @@ def _chaos_queries(rng: random.Random, with_deadlines: bool) -> list[Query]:
     return queries
 
 
-def _chaos_config(rng: random.Random, processes: bool = False) -> ReCacheConfig:
-    # The process-pool class pins the knobs the offload path gates on
-    # (eager admission + vectorized execution) so its crash schedules
-    # actually reach real worker children instead of degenerating into
-    # in-process fallbacks.
+def _chaos_config(rng: random.Random) -> ReCacheConfig:
     return ReCacheConfig(
         shard_count=rng.choice([1, 2]),
         cache_size_limit=rng.choice([None, 64_000]),
-        adaptive_admission=False if processes else rng.random() < 0.3,
-        vectorized_execution=True if processes else rng.random() < 0.5,
+        adaptive_admission=rng.random() < 0.3,
+        vectorized_execution=rng.random() < 0.5,
         scan_retry_limit=2,
         scan_retry_backoff=0.0005,
         max_workers=2,
-        execution_mode="processes" if processes else "threads",
-        # timing-driven layout switches can silently de-export hot entries;
-        # the crash class needs them to stay columnar to reach real workers
-        layout_selection=not processes,
     )
 
 
@@ -215,11 +208,11 @@ def chaos_report():
 def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
     # Integer-only seed derivation: string hashing is randomized per process
     # and would break replayability across runs.
-    class_index = sorted(FAULT_CLASSES).index(fault_class)
+    class_index = CLASS_SEED_INDEX[fault_class]
     rng = random.Random(CHAOS_SEED * 1_000_003 + class_index * 100_003 + index)
     spec = FAULT_CLASSES[fault_class](rng)
     seed = rng.randrange(1 << 30)
-    config = _chaos_config(rng, processes=fault_class == "proc-worker")
+    config = _chaos_config(rng)
     engine = build_engine(dataset_dir, config)
     queries = _chaos_queries(rng, with_deadlines=fault_class == "mixed")
     context = f"schedule {fault_class}#{index} spec={spec!r} seed={seed}"
@@ -230,42 +223,36 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
     for query in queries:
         baseline(query, config.vectorized_execution)
 
-    try:
-        with EngineServer(engine, max_workers=2) as server:
-            with faults.activate(spec, seed=seed):
-                futures = server.submit_batch(queries)
-                for query, future in zip(queries, futures):
-                    try:
-                        report = future.result(timeout=RESULT_TIMEOUT)
-                    except ReCacheError as exc:
-                        _OUTCOMES["typed_errors"][type(exc).__name__] = (
-                            _OUTCOMES["typed_errors"].get(type(exc).__name__, 0) + 1
-                        )
-                    except FutureTimeoutError:
-                        pytest.fail(f"HANG: {query.label} never resolved under {context}")
-                    else:
-                        _OUTCOMES["ok"] += 1
-                        assert _match(
-                            report.results, baseline(query, config.vectorized_execution)
-                        ), f"parity violation on {query.label} under {context}"
+    with EngineServer(engine, max_workers=2) as server:
+        with faults.activate(spec, seed=seed):
+            futures = server.submit_batch(queries)
+            for query, future in zip(queries, futures):
+                try:
+                    report = future.result(timeout=RESULT_TIMEOUT)
+                except ReCacheError as exc:
+                    _OUTCOMES["typed_errors"][type(exc).__name__] = (
+                        _OUTCOMES["typed_errors"].get(type(exc).__name__, 0) + 1
+                    )
+                except FutureTimeoutError:
+                    pytest.fail(f"HANG: {query.label} never resolved under {context}")
+                else:
+                    _OUTCOMES["ok"] += 1
+                    assert _match(
+                        report.results, baseline(query, config.vectorized_execution)
+                    ), f"parity violation on {query.label} under {context}"
 
-            # Also run the batch once more fault-free on the same (possibly
-            # quarantine-scarred) cache: containment must leave a healthy engine.
-            # Deadlines are stripped — only fault pressure may miss them.
-            replay = [
-                Query(tables=q.tables, joins=q.joins, aggregates=q.aggregates,
-                      group_by=q.group_by, label=q.label)
-                for q in queries
-            ]
-            for query, report in zip(replay, server.serve_all(replay, timeout=RESULT_TIMEOUT)):
-                assert _match(
-                    report.results, baseline(query, config.vectorized_execution)
-                ), f"post-fault parity violation on {query.label} under {context}"
-                _OUTCOMES["offloaded"] += report.offloaded
-    finally:
-        # Process-pool schedules spawn real children; reap them (and their
-        # shared-memory segments) before the leak assertions below.
-        engine.close_workers()
+        # Also run the batch once more fault-free on the same (possibly
+        # quarantine-scarred) cache: containment must leave a healthy engine.
+        # Deadlines are stripped — only fault pressure may miss them.
+        replay = [
+            Query(tables=q.tables, joins=q.joins, aggregates=q.aggregates,
+                  group_by=q.group_by, label=q.label)
+            for q in queries
+        ]
+        for query, report in zip(replay, server.serve_all(replay, timeout=RESULT_TIMEOUT)):
+            assert _match(
+                report.results, baseline(query, config.vectorized_execution)
+            ), f"post-fault parity violation on {query.label} under {context}"
 
     # No stranded futures / leaked backpressure capacity.
     assert server.queue_depth == 0, f"backpressure capacity leaked under {context}"
@@ -285,7 +272,7 @@ def _run_schedule(dataset_dir, baseline, fault_class: str, index: int) -> None:
 
 
 def _class_budget() -> dict[str, int]:
-    """Split the schedule budget across the six fault classes."""
+    """Split the schedule budget across the five fault classes."""
     per = CHAOS_SCHEDULES // len(FAULT_CLASSES)
     counts = {name: per for name in FAULT_CLASSES}
     counts["mixed"] += CHAOS_SCHEDULES - per * len(FAULT_CLASSES)
@@ -300,15 +287,7 @@ def test_chaos_schedules(dataset_dir, baseline, fault_class):
 
 def test_schedule_budget_meets_acceptance_bar():
     assert sum(_class_budget().values()) == CHAOS_SCHEDULES >= 200
+    # every class has its own pinned seed index
+    assert sorted(CLASS_SEED_INDEX) == sorted(FAULT_CLASSES)
+    assert len(set(CLASS_SEED_INDEX.values())) == len(CLASS_SEED_INDEX)
 
-
-def test_process_pool_class_reached_real_workers():
-    """The proc-worker class must exercise actual offloads, not fallbacks.
-
-    Replay passes run fault-free against warmed caches, so if the class ran
-    at all, at least one query must have executed inside a worker process —
-    otherwise the crash schedules only ever tested the in-thread simulation.
-    """
-    if _OUTCOMES["fault_classes"].get("proc-worker", 0) == 0:
-        pytest.skip("proc-worker schedules did not run in this session")
-    assert _OUTCOMES["offloaded"] >= 1

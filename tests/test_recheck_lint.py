@@ -79,11 +79,7 @@ def test_report_archives_raise_sets_and_wall_time():
     _, report = run_lint([ROOT / "src"])
     raise_sets = report["raise_sets"]
     # The interprocedural inference must reproduce the documented contracts.
-    assert raise_sets["QueryEngine.execute"] == [
-        "DeadlineExceeded",
-        "TransientScanError",
-        "WorkerCrashed",
-    ]
+    assert raise_sets["QueryEngine.execute"] == ["DeadlineExceeded", "TransientScanError"]
     assert "TransientScanError" in raise_sets["execute_plan"]
     # record_reuse's contract is "raises nothing": it must not appear at all.
     assert "ReCache.record_reuse" not in raise_sets
